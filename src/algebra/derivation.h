@@ -114,7 +114,7 @@ struct NodeInfo {
 /// EnableConcurrentAccess() makes concurrent Find/Derive safe — entry values
 /// are pure functions of the node, so racing derivations of the same node
 /// compute identical info and the first insert wins. The parallel
-/// enumeration driver and tqp::Engine's shared session cache rely on this.
+/// enumeration driver relies on this.
 class DerivationCache {
  public:
   /// Derives (memoized) the bottom-up information of every node in `plan`,

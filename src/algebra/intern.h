@@ -17,7 +17,7 @@
 // By default no locks are taken (the single-threaded fast path is lock-free
 // and byte-identical to the unsharded original); EnableConcurrentAccess()
 // switches every probe/insert to its shard's stripe lock, which is what lets
-// tqp::Engine share one interner between concurrent sessions.
+// the parallel enumeration driver's workers share one interner.
 #ifndef TQP_ALGEBRA_INTERN_H_
 #define TQP_ALGEBRA_INTERN_H_
 

@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 
+#include "algebra/intern.h"
 #include "backend/simulated_backend.h"
 #include "core/hash.h"
 #include "core/json.h"
@@ -75,22 +76,18 @@ EngineOptions::EngineOptions() : rules(DefaultRuleSet()) {
 }
 
 /// The immutable outcome of one compile+optimize run, shared between the
-/// plan cache and every PreparedQuery handed out for it.
-struct PreparedQuery::State {
-  /// Plan-cache key this state is stored under.
-  std::string key;
-  /// Original query text; empty for plan-keyed preparations.
-  std::string text;
-  QueryContract contract;
-  PlanPtr initial_plan;
-  PlanPtr best_plan;
-  double best_cost = 0.0;
-  double initial_cost = 0.0;
-  size_t plans_considered = 0;
-  bool truncated = false;
-  std::vector<std::string> derivation;
-  /// Catalog version the optimization ran under.
-  uint64_t catalog_version = 0;
+/// plan cache and every PreparedQuery handed out for it: the exportable plan
+/// cache entry plus what ties it to the live catalog.
+struct PreparedQuery::State : PlanCacheEntry {
+  State(PlanCacheEntry entry, AnnotatedPlan annotated)
+      : PlanCacheEntry(std::move(entry)), annotated(std::move(annotated)) {}
+
+  /// The chosen plan annotated against the catalog, built once at prepare
+  /// time so Execute runs no derivation pass. It stays valid exactly as
+  /// long as the state is current (StateIsCurrent): the annotation reads
+  /// only relations in `dep_versions`, and any move of those or of the
+  /// epoch re-prepares.
+  AnnotatedPlan annotated;
   /// Every relation the initial or best plan reads, with the per-relation
   /// catalog version it carried at preparation. Staleness is judged against
   /// this set, not the global version: a mutation of a relation outside it
@@ -193,9 +190,7 @@ Engine::AdmissionTicket::~AdmissionTicket() {
 Engine::Engine(Catalog catalog, EngineOptions options)
     : catalog_(std::move(catalog)),
       options_(std::move(options)),
-      caches_version_(catalog_.version()),
-      interner_(std::make_unique<PlanInterner>()),
-      derivation_(std::make_unique<DerivationCache>()) {
+      caches_version_(catalog_.version()) {
   // The backend below the stratum. A construction failure (e.g. kSqlite in
   // a build without sqlite3) degrades to the simulated backend: every query
   // still runs, just without pushdown.
@@ -235,9 +230,6 @@ Engine::Engine(Catalog catalog, EngineOptions options)
                                                    : 0);
     options_.engine.result_cache_env = env;
   }
-  // Session caches are shared by every concurrent session of this Engine.
-  interner_->EnableConcurrentAccess();
-  derivation_->EnableConcurrentAccess();
   if (options_.max_concurrent_queries > 0) {
     query_sem_ = std::make_unique<Semaphore>(options_.max_concurrent_queries);
   }
@@ -260,10 +252,6 @@ Engine::Engine(Catalog catalog, EngineOptions options)
 Engine::~Engine() = default;
 
 void Engine::FlushCachesLocked() {
-  interner_ = std::make_unique<PlanInterner>();
-  derivation_ = std::make_unique<DerivationCache>();
-  interner_->EnableConcurrentAccess();
-  derivation_->EnableConcurrentAccess();
   lru_.clear();
   plan_cache_.clear();
   // A wholesale flush means the catalog may have been *replaced*: a fresh
@@ -285,8 +273,8 @@ uint64_t Engine::CurrentEpoch() const {
 
 void Engine::ClearCaches() {
   // Exclusive catalog lock: wait for in-flight queries (which hold it
-  // shared) to drain, so the swap can never pull caches out from under a
-  // running enumeration.
+  // shared) to drain, so the flush can never pull the result cache out from
+  // under a running execution.
   std::unique_lock<std::shared_mutex> cat(catalog_mu_);
   std::lock_guard<std::mutex> state(state_mu_);
   FlushCachesLocked();
@@ -307,21 +295,14 @@ void Engine::SyncWithCatalog() {
   // The catalog moved through ordinary, per-relation-tracked mutation.
   // Invalidate selectively rather than wholesale — exactly one thread
   // reconciles per version change (the check and the update are atomic
-  // under state_mu_), and no in-flight query can still hold the old cache
-  // pointers: the mutation that bumped the version held the catalog lock
-  // exclusively, so every query that captured them has already drained.
+  // under state_mu_):
   //
   //  * plan cache — evict only entries whose relation-dependency set moved;
-  //    a plan reading only untouched relations stays warm;
-  //  * interner — kept: hash-consing is catalog-independent;
+  //    a plan reading only untouched relations (and its annotation, which
+  //    reads nothing else) stays warm;
   //  * result cache — kept: entries carry exact per-relation version
-  //    vectors, so stale ones can never match a probe (they age out LRU);
-  //  * derivation cache — rebuilt: its cardinalities/guarantees came from
-  //    old relation contents, and its pointer-stability contract (entries
-  //    are never erased) rules out selective eviction.
+  //    vectors, so stale ones can never match a probe (they age out LRU).
   ++stats_.invalidations;
-  derivation_ = std::make_unique<DerivationCache>();
-  derivation_->EnableConcurrentAccess();
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (DepsCurrentLocked(*it->state)) {
       ++it;
@@ -388,53 +369,59 @@ void Engine::StorePlanCache(
   }
 }
 
+Result<std::shared_ptr<const PreparedQuery::State>> Engine::MakeState(
+    PlanCacheEntry entry, DerivationCache* derivation, uint64_t epoch) const {
+  TQP_ASSIGN_OR_RETURN(
+      annotated,
+      AnnotatedPlan::Make(entry.best_plan, &catalog_, entry.contract,
+                          options_.cardinality, derivation));
+  auto state = std::make_shared<PreparedQuery::State>(std::move(entry),
+                                                      std::move(annotated));
+  state->engine_epoch = epoch;
+  state->dep_versions =
+      StampDepVersions(state->initial_plan, state->best_plan, catalog_);
+  return std::shared_ptr<const PreparedQuery::State>(std::move(state));
+}
+
 Result<std::shared_ptr<const PreparedQuery::State>> Engine::PrepareImpl(
     const std::string& key, const std::string& text, const PlanPtr& initial,
     const QueryContract& contract, Tracer* tracer) {
-  const bool reuse = options_.reuse_search_caches;
-  PlanInterner* interner;
-  DerivationCache* derivation;
   uint64_t epoch;
   {
     std::lock_guard<std::mutex> state(state_mu_);
     ++stats_.prepares;
     ++stats_.plan_cache_misses;
-    // Captured under state_mu_ after SyncWithCatalog: no flush can replace
-    // them while this query holds the catalog lock shared.
-    interner = interner_.get();
-    derivation = derivation_.get();
     epoch = catalog_epoch_;
   }
-  PlanPtr root = reuse ? interner->Intern(initial) : initial;
 
   OptimizerOptions opt;
   opt.enumeration = options_.enumeration;
   opt.enumeration.tracer = tracer;  // enumerate/expand/cost spans
   opt.engine = options_.engine;
   opt.cardinality = options_.cardinality;
+  // The search state belongs to this prepare alone: the enumeration interns
+  // into a call-local table, and this one derivation cache serves the
+  // search, the costing and the chosen plan's annotation. Both are freed on
+  // return; only the chosen plan survives, in the state.
+  DerivationCache derivation;
   TQP_ASSIGN_OR_RETURN(
-      optimized,
-      Optimize(root, catalog_, contract, options_.rules, opt,
-               reuse ? interner : nullptr, reuse ? derivation : nullptr));
+      optimized, Optimize(initial, catalog_, contract, options_.rules, opt,
+                          /*interner=*/nullptr, &derivation));
 
-  auto state = std::make_shared<PreparedQuery::State>();
-  state->key = key;
-  state->text = text;
-  state->contract = contract;
-  state->initial_plan = root;
-  state->best_plan = optimized.best_plan;
-  state->best_cost = optimized.best_cost;
-  state->initial_cost = optimized.initial_cost;
-  state->plans_considered = optimized.plans_considered;
-  state->truncated = optimized.truncated;
-  state->derivation = std::move(optimized.derivation);
-  state->catalog_version = catalog_.version();
-  state->engine_epoch = epoch;
-  state->dep_versions = StampDepVersions(root, state->best_plan, catalog_);
-
-  std::shared_ptr<const PreparedQuery::State> shared = state;
-  if (options_.cache_plans) StorePlanCache(key, shared);
-  return shared;
+  PlanCacheEntry entry;
+  entry.key = key;
+  entry.text = text;
+  entry.contract = contract;
+  entry.initial_plan = initial;
+  entry.best_plan = optimized.best_plan;
+  entry.best_cost = optimized.best_cost;
+  entry.initial_cost = optimized.initial_cost;
+  entry.plans_considered = optimized.plans_considered;
+  entry.truncated = optimized.truncated;
+  entry.derivation = std::move(optimized.derivation);
+  TQP_ASSIGN_OR_RETURN(state, MakeState(std::move(entry), &derivation, epoch));
+  if (options_.cache_plans) StorePlanCache(key, state);
+  return state;
 }
 
 Result<PreparedQuery> Engine::Prepare(const std::string& text) {
@@ -549,17 +536,6 @@ Result<TranslatedQuery> Engine::Compile(const std::string& text) const {
 Result<QueryResult> Engine::ExecuteState(const PreparedQuery::State& state,
                                          bool from_cache, Tracer* tracer,
                                          bool want_profile) {
-  DerivationCache* derivation;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    derivation = derivation_.get();
-  }
-  const bool reuse = options_.reuse_search_caches;
-  Result<AnnotatedPlan> ann = AnnotatedPlan::Make(
-      state.best_plan, &catalog_, state.contract, options_.cardinality,
-      reuse ? derivation : nullptr);
-  if (!ann.ok()) return ann.status();
-
   // An armed slow-query log needs the hottest-operator ranking, so it
   // forces profile collection even when the caller did not ask for the
   // tree back.
@@ -586,10 +562,10 @@ Result<QueryResult> Engine::ExecuteState(const PreparedQuery::State& state,
       vopts.batch_size = options_.vexec_batch_size;
       vopts.threads = options_.vexec_threads;
       vopts.memory_budget = options_.vexec_memory_budget;
-      return ExecuteVectorized(ann.value(), *cfg, &out.exec, vopts,
+      return ExecuteVectorized(state.annotated, *cfg, &out.exec, vopts,
                                profile_root.get());
     }
-    return Evaluate(ann.value(), *cfg, &out.exec, profile_root.get());
+    return Evaluate(state.annotated, *cfg, &out.exec, profile_root.get());
   }();
   const uint64_t wall_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -647,22 +623,12 @@ Result<EnumerationResult> Engine::Enumerate(const std::string& text,
   SyncWithCatalog();
   TQP_ASSIGN_OR_RETURN(compiled,
                        CompileQuery(text, catalog_, options_.translator));
-  // A session DerivationCache is only sound for one cost/cardinality
-  // parameterization; force the Engine's unified models.
+  // Force the Engine's unified models, so pruning and best-first order
+  // match what Prepare would cost. The search runs over call-local caches.
   options.cardinality = options_.cardinality;
   options.cost_engine = options_.engine;
-  const bool reuse = options_.reuse_search_caches;
-  PlanInterner* interner;
-  DerivationCache* derivation;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    interner = interner_.get();
-    derivation = derivation_.get();
-  }
-  PlanPtr root = reuse ? interner->Intern(compiled.plan) : compiled.plan;
-  return EnumeratePlans(root, catalog_, compiled.contract, options_.rules,
-                        options, reuse ? interner : nullptr,
-                        reuse ? derivation : nullptr);
+  return EnumeratePlans(compiled.plan, catalog_, compiled.contract,
+                        options_.rules, options);
 }
 
 namespace {
@@ -739,18 +705,7 @@ PlanCacheSnapshot Engine::ExportPlanCache() const {
     // them. The snapshot stamps the live catalog version; only entries
     // actually valid under it may ship.
     if (s.engine_epoch != catalog_epoch_ || !DepsCurrentLocked(s)) continue;
-    PlanCacheEntry e;
-    e.key = it->key;
-    e.text = s.text;
-    e.contract = s.contract;
-    e.initial_plan = s.initial_plan;
-    e.best_plan = s.best_plan;
-    e.best_cost = s.best_cost;
-    e.initial_cost = s.initial_cost;
-    e.plans_considered = s.plans_considered;
-    e.truncated = s.truncated;
-    e.derivation = s.derivation;
-    out.entries.push_back(std::move(e));
+    out.entries.push_back(s);  // the PlanCacheEntry part
   }
   return out;
 }
@@ -779,43 +734,32 @@ size_t Engine::ImportPlanCache(const PlanCacheSnapshot& snapshot) {
       (calibration_.calibrated ? calibration_.fingerprint : 0)) {
     return 0;
   }
-  const bool reuse = options_.reuse_search_caches;
-  PlanInterner* interner;
-  uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> state(state_mu_);
-    interner = interner_.get();
-    epoch = catalog_epoch_;
-  }
+  const uint64_t epoch = CurrentEpoch();
+  // Deserialized plans share no structure; interning them into one
+  // call-local table shares equal subtrees across the whole snapshot, and
+  // one derivation cache annotates every chosen plan over those subtrees.
+  PlanInterner interner;
+  DerivationCache derivation;
   size_t installed = 0;
   for (const PlanCacheEntry& e : snapshot.entries) {
     if (e.key.empty() || e.initial_plan == nullptr || e.best_plan == nullptr) {
       continue;
     }
     // Defense against a same-version but different catalog: an entry whose
-    // plans reference relations this catalog lacks is skipped (it could
-    // never have been prepared here).
+    // plans reference relations this catalog lacks, or whose chosen plan
+    // does not annotate against it, is skipped (it could never have been
+    // prepared here).
     if (!AllScansExist(e.initial_plan, catalog_) ||
         !AllScansExist(e.best_plan, catalog_)) {
       continue;
     }
-    auto state = std::make_shared<PreparedQuery::State>();
-    state->key = e.key;
-    state->text = e.text;
-    state->contract = e.contract;
-    state->initial_plan = reuse ? interner->Intern(e.initial_plan)
-                                : e.initial_plan;
-    state->best_plan = reuse ? interner->Intern(e.best_plan) : e.best_plan;
-    state->best_cost = e.best_cost;
-    state->initial_cost = e.initial_cost;
-    state->plans_considered = e.plans_considered;
-    state->truncated = e.truncated;
-    state->derivation = e.derivation;
-    state->catalog_version = catalog_.version();
-    state->engine_epoch = epoch;
-    state->dep_versions =
-        StampDepVersions(state->initial_plan, state->best_plan, catalog_);
-    StorePlanCache(e.key, std::move(state));
+    PlanCacheEntry entry = e;
+    entry.initial_plan = interner.Intern(e.initial_plan);
+    entry.best_plan = interner.Intern(e.best_plan);
+    Result<std::shared_ptr<const PreparedQuery::State>> state =
+        MakeState(std::move(entry), &derivation, epoch);
+    if (!state.ok()) continue;
+    StorePlanCache(e.key, std::move(state).value());
     ++installed;
   }
   if (installed > 0) {
@@ -842,9 +786,6 @@ std::string EngineStats::ToJson() const {
   w.Key("invalidations").Uint(invalidations);
   w.Key("peak_concurrent_queries").Uint(peak_concurrent_queries);
   w.Key("plan_cache_entries").Uint(plan_cache_entries);
-  w.Key("interner_nodes").Uint(interner_nodes);
-  w.Key("interner_hits").Uint(interner_hits);
-  w.Key("derivation_nodes").Uint(derivation_nodes);
   w.Key("backend").String(backend_name);
   w.Key("backend_pushdowns").Uint(backend_pushdowns);
   w.Key("backend_rows").Uint(backend_rows);
@@ -877,9 +818,6 @@ void EngineStats::PublishTo(MetricsRegistry* registry) const {
   set("tqp_engine_invalidations", invalidations);
   set("tqp_engine_peak_concurrent_queries", peak_concurrent_queries);
   set("tqp_engine_plan_cache_entries", plan_cache_entries);
-  set("tqp_engine_interner_nodes", interner_nodes);
-  set("tqp_engine_interner_hits", interner_hits);
-  set("tqp_engine_derivation_nodes", derivation_nodes);
   set("tqp_engine_backend_pushdowns", backend_pushdowns);
   set("tqp_engine_backend_rows", backend_rows);
   set("tqp_engine_backend_fallbacks", backend_fallbacks);
@@ -903,9 +841,6 @@ EngineStats Engine::stats() const {
   out.peak_concurrent_queries =
       peak_in_flight_.load(std::memory_order_relaxed);
   out.plan_cache_entries = plan_cache_.size();
-  out.interner_nodes = interner_->unique_nodes();
-  out.interner_hits = interner_->hits();
-  out.derivation_nodes = derivation_->size();
   if (result_cache_ != nullptr) {
     ResultCacheStats rc = result_cache_->stats();
     out.result_cache_hits = rc.hits;

@@ -4,18 +4,17 @@
 // The paper's pipeline (TQL text → initial plan → Figure 5 enumeration →
 // cost-based choice → layered execution) is implemented by four layers with
 // four separate option structs. An Engine binds them behind one stable entry
-// point and — the point of a *session* — keeps the state worth keeping
-// between queries:
+// point and — the point of a *session* — keeps a bounded (LRU) plan cache
+// keyed by the query's lexed token stream (or initial-plan fingerprint), so
+// a repeated query — including whitespace/comment/keyword-case variants of
+// it — skips parsing, enumeration, and costing entirely. Each entry holds
+// the chosen plan already annotated, so Execute runs no derivation pass.
 //
-//   * one PlanInterner + DerivationCache shared across all queries, so a
-//     subtree enumerated for any earlier query is never re-derived;
-//   * a bounded (LRU) plan cache keyed by the query's lexed token stream (or
-//     initial-plan fingerprint), so a repeated query — including whitespace/
-//     comment/keyword-case variants of it — skips parsing, enumeration, and
-//     costing entirely.
-//
-// Both are primed on first use and invalidated when the catalog's version
-// changes (see Catalog::version()) — a stale plan is never served. Cache
+// The Figure 5 search state (PlanInterner, DerivationCache) is scoped to one
+// prepare: it is built for that query's plan space and freed when the
+// prepare returns, so only the chosen plan outlives it. Cache entries are
+// invalidated when the relations they read change (see
+// Catalog::relation_version()) — a stale plan is never served. Cache
 // warmth is an optimization only: a warm Engine returns byte-identical
 // relations, the same chosen-plan fingerprints, and the same costs as a cold
 // one, and as the hand-wired CompileQuery + Optimize + Evaluate pipeline
@@ -24,8 +23,8 @@
 // Concurrency: one Engine serves any number of threads over its one shared
 // catalog. Queries hold the catalog lock shared for their whole duration;
 // MutateCatalog takes it exclusively, so every query sees one consistent
-// catalog version and stale state is never served mid-mutation. The session
-// interner/derivation caches run in concurrent (striped-lock) mode, the
+// catalog version and stale state is never served mid-mutation. Concurrent
+// prepares share no search state, so they take no optimizer locks; the
 // plan cache and counters sit behind one mutex, and
 // EngineOptions::max_concurrent_queries bounds how many expensive pipeline
 // runs are in flight at once (a counting semaphore; excess callers queue),
@@ -52,7 +51,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "algebra/intern.h"
 #include "backend/backend.h"
 #include "core/sync.h"
 #include "exec/evaluator.h"
@@ -115,8 +113,9 @@ struct EngineOptions {
   /// always gated — it is per-query work that must degrade gracefully too.
   /// 0 (default) = unlimited.
   size_t max_concurrent_queries = 0;
-  /// Share one PlanInterner/DerivationCache across queries. Off = every
-  /// Prepare runs cold (useful for measuring, never for serving).
+  /// No effect: every prepare builds its own search caches and frees them
+  /// when it returns. Kept only so existing callers that set it still
+  /// compile.
   bool reuse_search_caches = true;
   /// Physical executor for Execute()/Query(). Both produce list-identical
   /// relations; kVectorized additionally fills the ExecStats vec_* batch
@@ -249,9 +248,6 @@ struct EngineStats {
   /// never exceeds N.
   uint64_t peak_concurrent_queries = 0;
   size_t plan_cache_entries = 0;
-  size_t interner_nodes = 0;
-  size_t interner_hits = 0;
-  size_t derivation_nodes = 0;
   /// Plan-cache entries installed from a persisted snapshot
   /// (Engine::ImportPlanCache), e.g. by the service layer's warm start.
   uint64_t plan_cache_imports = 0;
@@ -465,14 +461,13 @@ class Engine {
   /// Parses and translates only (no optimization, no caching of the result).
   Result<TranslatedQuery> Compile(const std::string& text) const;
 
-  /// Enumerates the full equivalent-plan space of `text` through the session
-  /// caches — the facade behind examples/plan_explorer. `options.cardinality`
-  /// and `options.cost_engine` are overridden by the Engine's unified models
-  /// (a session DerivationCache is only sound for one parameter setting).
+  /// Enumerates the full equivalent-plan space of `text` — the facade behind
+  /// examples/plan_explorer. `options.cardinality` and `options.cost_engine`
+  /// are overridden by the Engine's unified models.
   Result<EnumerationResult> Enumerate(const std::string& text,
                                       EnumerationOptions options);
 
-  /// Session cache counters (plan cache, interner, derivation cache).
+  /// Session counters (plan cache, invalidations, backend, result cache).
   EngineStats stats() const;
 
   /// The slow-query log, oldest first (EngineOptions::
@@ -492,9 +487,9 @@ class Engine {
   /// different catalog version than the live one is rejected wholesale
   /// (returns 0) — stale plans are never imported, mirroring the in-memory
   /// invalidation rule. Entries referencing relations the live catalog does
-  /// not contain are skipped individually (defense against a snapshot from a
-  /// same-version but different catalog). Imported plans are interned into
-  /// the session interner; LRU capacity applies as usual.
+  /// not contain, or whose chosen plan does not annotate against it, are
+  /// skipped individually (defense against a snapshot from a same-version
+  /// but different catalog). LRU capacity applies as usual.
   size_t ImportPlanCache(const PlanCacheSnapshot& snapshot);
 
   /// Stable content summary of the live catalog (relation names, schemas,
@@ -511,9 +506,9 @@ class Engine {
   /// EngineOptions::calibrate_backend was off).
   const BackendCostProfile& calibration() const { return calibration_; }
 
-  /// Drops every session cache (plan cache, interner, derivation cache)
-  /// after waiting for in-flight queries to drain. Equivalent to what a
-  /// catalog mutation triggers automatically.
+  /// Drops every session cache (plan cache, result cache) after waiting for
+  /// in-flight queries to drain. Equivalent to what a mutable_catalog()
+  /// handout triggers automatically.
   void ClearCaches();
 
  private:
@@ -543,12 +538,10 @@ class Engine {
   /// moved since they were primed. A mutable_catalog() handout flushes
   /// everything wholesale (a replacement is undetectable by version); an
   /// ordinary version bump invalidates *selectively* — only plan-cache
-  /// entries whose relation-dependency set moved are evicted, the
-  /// catalog-independent interner and the self-versioned result cache
-  /// survive, and the derivation cache (whose cardinalities may be stale)
-  /// is rebuilt. Requires the catalog lock (shared suffices: a mismatch can
-  /// only be observed once the mutating writer has drained every older
-  /// reader, so no in-flight query can still be using the flushed objects).
+  /// entries whose relation-dependency set moved are evicted, and the
+  /// self-versioned result cache survives. Requires the catalog lock
+  /// (shared suffices: a mismatch can only be observed once the mutating
+  /// writer has drained every older reader).
   void SyncWithCatalog();
   /// Drops all caches; state_mu_ must be held. Starts a new cache epoch.
   void FlushCachesLocked();
@@ -578,14 +571,21 @@ class Engine {
   /// Null tracer = the public Prepare, span-free.
   Result<PreparedQuery> PrepareTraced(const std::string& text, Tracer* tracer);
 
-  /// The full compile-free pipeline (intern, optimize, cache). Requires the
-  /// caller to hold the catalog lock shared and to have synced. `tracer`
-  /// (may be null) reaches the enumeration/costing spans.
+  /// Annotates `entry`'s chosen plan through `derivation` and stamps it with
+  /// the live catalog's relation versions and cache epoch `epoch`. Requires
+  /// the catalog lock shared.
+  Result<std::shared_ptr<const PreparedQuery::State>> MakeState(
+      PlanCacheEntry entry, DerivationCache* derivation, uint64_t epoch) const;
+
+  /// The full compile-free pipeline (optimize, annotate, cache) over
+  /// call-local search caches. Requires the caller to hold the catalog lock
+  /// shared and to have synced. `tracer` (may be null) reaches the
+  /// enumeration/costing spans.
   Result<std::shared_ptr<const PreparedQuery::State>> PrepareImpl(
       const std::string& key, const std::string& text, const PlanPtr& initial,
       const QueryContract& contract, Tracer* tracer);
 
-  /// Annotate + evaluate `state`'s chosen plan. Requires the catalog lock
+  /// Evaluates `state`'s annotated chosen plan. Requires the catalog lock
   /// shared and `state` to be current for the live catalog version.
   /// `tracer` (may be null) records execution spans; `want_profile` returns
   /// the per-operator tree in QueryResult::profile (profiling also runs,
@@ -611,7 +611,7 @@ class Engine {
   /// explicit cache flushes hold it exclusive. Lock order: admission
   /// semaphore → catalog_mu_ → state_mu_.
   mutable std::shared_mutex catalog_mu_;
-  /// Guards the plan cache, counters, cache pointers, and caches_version_.
+  /// Guards the plan cache, counters, and caches_version_.
   mutable std::mutex state_mu_;
 
   /// Catalog version the caches below are valid for.
@@ -623,8 +623,6 @@ class Engine {
   /// Set when mutable_catalog() hands out a mutable reference; the next
   /// SyncWithCatalog flushes conservatively and clears it.
   mutable std::atomic<bool> catalog_handout_{false};
-  std::unique_ptr<PlanInterner> interner_;
-  std::unique_ptr<DerivationCache> derivation_;
   /// LRU plan cache: list front = most recently used; map points into it.
   LruList lru_;
   std::unordered_map<std::string, LruList::iterator> plan_cache_;

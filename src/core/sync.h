@@ -2,11 +2,13 @@
 // lock guards for structures with a lock-free single-threaded mode, and a
 // counting semaphore for admission control.
 //
-// The library's concurrency model (see ARCHITECTURE.md): session-shared
-// state — PlanInterner, DerivationCache, the Engine's plan cache — is
-// guarded by striped locks that are only taken once a structure has been
-// explicitly switched into concurrent mode, so the single-threaded paths
-// take no locks at all and stay byte-identical to the pre-concurrency code.
+// The library's concurrency model (see ARCHITECTURE.md): the search
+// structures PlanInterner and DerivationCache are guarded by striped locks
+// that are only taken once a structure has been explicitly switched into
+// concurrent mode, so the single-threaded paths take no locks at all and
+// stay byte-identical to the pre-concurrency code. Only the parallel
+// enumeration driver switches them: tqp::Engine gives every prepare its own
+// pair, and its plan cache sits behind one plain mutex.
 #ifndef TQP_CORE_SYNC_H_
 #define TQP_CORE_SYNC_H_
 

@@ -187,10 +187,11 @@ Result<EnumerationResult> EnumerateMemo(const PlanPtr& initial,
     return Status::InvalidArgument("initial plan too large when unfolded");
   }
 
-  // Session-scoped state when the caller provides it (cross-query reuse in
-  // tqp::Engine), call-local otherwise. Warmth never changes which plans are
-  // admitted or their order: interning only affects pointer identity, and a
-  // cached node is guaranteed to head a valid subtree under the same catalog.
+  // Caller-owned state when the caller provides it (tqp::Engine keeps the
+  // derivation cache to annotate the chosen plan), call-local otherwise.
+  // Warmth never changes which plans are admitted or their order: interning
+  // only affects pointer identity, and a cached node is guaranteed to head a
+  // valid subtree under the same catalog.
   PlanInterner local_interner;
   DerivationCache local_derivation;
   PlanInterner& interner = ext_interner ? *ext_interner : local_interner;

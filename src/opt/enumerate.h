@@ -225,16 +225,16 @@ Result<EnumerationResult> EnumeratePlans(const PlanPtr& initial,
                                          const std::vector<Rule>& rules,
                                          const EnumerationOptions& options = {});
 
-/// Same, threading session-scoped search state: `interner` hash-conses every
+/// Same, threading caller-owned search state: `interner` hash-conses every
 /// admitted plan and `derivation` memoizes bottom-up node information, so a
-/// caller serving repeated queries (tqp::Engine) pays for subtree derivation
-/// only the first time a subtree appears anywhere in the session. Either may
-/// be nullptr (a call-local one is used). A shared cache is only sound
-/// against one catalog version and one CardinalityParams setting — the
-/// Engine invalidates both on catalog mutation. The legacy string-dedup path
-/// does not intern and ignores both. The enumerated plan sequence is
-/// independent of cache warmth (warm/cold runs are byte-identical); only the
-/// interner/cache counters in EnumerationResult reflect session totals.
+/// caller can reuse the derivations after the search (Optimize costs from
+/// them; tqp::Engine annotates its chosen plan from them). Either may be
+/// nullptr (a call-local one is used). A cache reused across calls is only
+/// sound against one catalog version and one CardinalityParams setting. The
+/// legacy string-dedup path does not intern and ignores both. The enumerated
+/// plan sequence is independent of cache warmth (warm/cold runs are
+/// byte-identical); only the interner/cache counters in EnumerationResult
+/// reflect the caches' totals.
 Result<EnumerationResult> EnumeratePlans(const PlanPtr& initial,
                                          const Catalog& catalog,
                                          const QueryContract& contract,

@@ -24,9 +24,13 @@ Result<OptimizeResult> Optimize(const PlanPtr& initial, const Catalog& catalog,
   EnumerationOptions enum_options = options.enumeration;
   enum_options.cardinality = options.cardinality;
   enum_options.cost_engine = options.engine;
+  // One bottom-up derivation cache for the search and the costing loop
+  // below (the caller's, or a call-local one), so each node is derived once.
+  DerivationCache local_cache;
+  DerivationCache& cache = derivation ? *derivation : local_cache;
   TQP_ASSIGN_OR_RETURN(enumeration,
                        EnumeratePlans(initial, catalog, contract, rules,
-                                      enum_options, interner, derivation));
+                                      enum_options, interner, &cache));
 
   OptimizeResult out;
   out.plans_considered = enumeration.plans.size();
@@ -47,13 +51,8 @@ Result<OptimizeResult> Optimize(const PlanPtr& initial, const Catalog& catalog,
       }
     }
   } else {
-    // Cost every plan against one shared bottom-up derivation cache — the
-    // enumerated plans are structurally overlapping, so most nodes are
-    // derived once across the whole set. With a session cache this is the
-    // same cache the enumeration validated against, so it is already fully
-    // primed.
-    DerivationCache local_cache;
-    DerivationCache& cache = derivation ? *derivation : local_cache;
+    // Cost every plan against the cache the enumeration validated against:
+    // it is already primed with every admitted plan's nodes.
     PlanContext ctx(&cache, nullptr, &contract);
     for (size_t i = 0; i < enumeration.plans.size(); ++i) {
       const PlanPtr& plan = enumeration.plans[i].plan;

@@ -42,13 +42,14 @@ Result<OptimizeResult> Optimize(const PlanPtr& initial, const Catalog& catalog,
                                 const std::vector<Rule>& rules,
                                 const OptimizerOptions& options = {});
 
-/// Same, threading session-scoped search state (see the EnumeratePlans
-/// overload): the enumeration interns through `interner` and both the
+/// Same, threading caller-owned search state (see the EnumeratePlans
+/// overload): the enumeration interns through `interner`, and the
 /// enumeration's validation and the costing loop share `derivation`, so a
-/// repeated or structurally overlapping query re-derives almost nothing.
-/// Either may be nullptr. The chosen plan, costs, and derivation chain are
-/// identical to a cold call — cache warmth only changes how much work is
-/// re-done, never the outcome.
+/// caller can keep using the derivations afterwards (tqp::Engine annotates
+/// the chosen plan from it). Either may be nullptr (a call-local one is
+/// used; the costing loop still shares the enumeration's). The chosen plan,
+/// costs, and derivation chain are identical to a cold call — cache warmth
+/// only changes how much work is re-done, never the outcome.
 Result<OptimizeResult> Optimize(const PlanPtr& initial, const Catalog& catalog,
                                 const QueryContract& contract,
                                 const std::vector<Rule>& rules,

@@ -1,15 +1,18 @@
 // Tests for the tqp::Engine facade: equivalence with the hand-wired
-// pipeline, warm-vs-cold determinism of the session caches, plan-cache
-// behavior (including the LRU bound), catalog-version invalidation, and the
-// concurrent-session guarantees (M threads × K queries byte-identical to a
-// fresh single-threaded engine, admission control, mid-flight catalog
-// mutation never serving stale or torn state). CI runs this suite under
-// TSan.
+// pipeline, warm-vs-cold determinism of the plan cache, plan-cache behavior
+// (including the LRU bound and freeing evicted plans), catalog-version
+// invalidation, and the concurrent-session guarantees (M threads × K
+// queries byte-identical to a fresh single-threaded engine, admission
+// control, mid-flight catalog mutation never serving stale or torn state).
+// CI runs this suite under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "api/engine.h"
 #include "core/equivalence.h"
@@ -60,7 +63,7 @@ TEST(ApiEngineTest, FacadeMatchesHandWiredPipeline) {
   // CompileQuery + Optimize + AnnotatedPlan::Make + Evaluate pipeline with
   // the same (default) models — same relation, fingerprint, costs, and
   // derivation chain, even though the facade skips canonical strings and
-  // runs through session caches.
+  // serves a plan annotated at prepare time.
   Catalog catalog = PaperCatalog();
 
   Result<TranslatedQuery> q = CompileQuery(PaperQueryText(), catalog);
@@ -90,9 +93,9 @@ TEST(ApiEngineTest, FacadeMatchesHandWiredPipeline) {
 }
 
 TEST(ApiEngineTest, WarmRunsMatchColdAcrossWorkload) {
-  // For every workload query: the warm engine's second run (plan-cache hit,
-  // primed interner/derivation cache) returns the identical relation, chosen
-  // fingerprint, and costs as its first run AND as a fresh engine.
+  // For every workload query: the warm engine's second run (plan-cache hit)
+  // returns the identical relation, chosen fingerprint, and costs as its
+  // first run AND as a fresh engine.
   EngineOptions options;
   options.enumeration.max_plans = 1500;
   Engine warm(WorkloadCatalog(), options);
@@ -128,16 +131,13 @@ TEST(ApiEngineTest, WarmRunsMatchColdAcrossWorkload) {
   EXPECT_EQ(stats.plan_cache_misses, WorkloadQueries().size());
   EXPECT_EQ(stats.prepares, WorkloadQueries().size());
   EXPECT_EQ(stats.plan_cache_entries, WorkloadQueries().size());
-  EXPECT_GT(stats.interner_nodes, 0u);
-  EXPECT_GT(stats.derivation_nodes, 0u);
   EXPECT_EQ(stats.invalidations, 0u);
 }
 
-TEST(ApiEngineTest, SessionCachesOffIsStillCorrect) {
-  // reuse_search_caches / cache_plans only change how much work is redone.
+TEST(ApiEngineTest, PlanCacheOffIsStillCorrect) {
+  // cache_plans only changes how much work is redone.
   EngineOptions no_caches;
   no_caches.cache_plans = false;
-  no_caches.reuse_search_caches = false;
   Engine bare(WorkloadCatalog(), no_caches);
   Engine cached(WorkloadCatalog());
 
@@ -401,7 +401,7 @@ TEST(ApiEngineTest, ExecuteAfterSameVersionCatalogSwapFailsCleanly) {
   EXPECT_EQ(q->relation.size(), 1u);
 }
 
-TEST(ApiEngineTest, EnumerateThreadsSessionCaches) {
+TEST(ApiEngineTest, EnumerateRepeatsTheSameSearch) {
   Engine engine(PaperCatalog());
   EnumerationOptions options = engine.options().enumeration;
   options.max_plans = 200;
@@ -413,8 +413,8 @@ TEST(ApiEngineTest, EnumerateThreadsSessionCaches) {
   EXPECT_TRUE(first->plans[0].canonical.empty());
   size_t cold_cache = first->cache_nodes;
 
-  // ...and a re-enumeration against the primed session caches produces the
-  // identical plan sequence while deriving almost nothing new.
+  // ...and a re-enumeration, over fresh call-local caches, produces the
+  // identical plan sequence and derives the identical node set.
   Result<EnumerationResult> second =
       engine.Enumerate(PaperQueryText(), options);
   ASSERT_TRUE(second.ok());
@@ -424,7 +424,7 @@ TEST(ApiEngineTest, EnumerateThreadsSessionCaches) {
     EXPECT_EQ(second->plans[i].parent, first->plans[i].parent);
     EXPECT_EQ(second->plans[i].rule_id, first->plans[i].rule_id);
   }
-  EXPECT_EQ(second->cache_nodes, cold_cache);  // nothing new to derive
+  EXPECT_EQ(second->cache_nodes, cold_cache);
 }
 
 TEST(ApiEngineTest, FillCanonicalOffPreservesTheSequence) {
@@ -495,10 +495,95 @@ TEST(ApiEngineTest, PlanCacheLruEviction) {
   EXPECT_EQ(unbounded.stats().plan_cache_evictions, 0u);
 }
 
+TEST(ApiEngineTest, EvictedPreparedPlanIsFreed) {
+  // Search state lives for one prepare only: once the LRU bound evicts an
+  // entry and its last handle drops, nothing in the Engine still pins the
+  // chosen plan's nodes.
+  EngineOptions options;
+  options.plan_cache_capacity = 1;
+  Engine engine(WorkloadCatalog(), options);
+  std::weak_ptr<const PlanNode> chosen;
+  {
+    Result<PreparedQuery> first =
+        engine.Prepare("SELECT Name, Val FROM R WHERE Val > 1");
+    ASSERT_TRUE(first.ok()) << first.status().message();
+    chosen = first->best_plan();
+  }
+  EXPECT_FALSE(chosen.expired());  // the plan cache still holds it
+
+  ASSERT_TRUE(engine.Prepare("SELECT Name, Val FROM R WHERE Val > 2").ok());
+  EXPECT_EQ(engine.stats().plan_cache_evictions, 1u);
+  EXPECT_TRUE(chosen.expired());
+}
+
+TEST(ApiEngineTest, ConcurrentDistinctPreparesMatchCold) {
+  // 4 threads prepare distinct-literal texts, so every prepare misses the
+  // plan cache and runs its own search concurrently with the others. Every
+  // result list, chosen plan, and cost must equal a cold single-threaded
+  // engine's.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3;
+  std::vector<std::string> texts;
+  for (int i = 0; i < kThreads * kPerThread; ++i) {
+    const std::string v = std::to_string(i);
+    switch (i % 3) {
+      case 0:
+        texts.push_back("VALIDTIME SELECT DISTINCT Name FROM R WHERE Val > " +
+                        v + " ORDER BY Name ASC");
+        break;
+      case 1:
+        texts.push_back("SELECT Name FROM R WHERE Val < " + v +
+                        " UNION SELECT Name FROM S WHERE Cat <> " + v);
+        break;
+      default:
+        texts.push_back("SELECT Cat, COUNT(*) AS n FROM S WHERE Val > " + v +
+                        " GROUP BY Cat ORDER BY Cat");
+        break;
+    }
+  }
+
+  std::vector<std::string> expected_table;
+  std::vector<uint64_t> expected_fp;
+  std::vector<double> expected_cost;
+  for (const std::string& text : texts) {
+    Engine cold(WorkloadCatalog());
+    Result<QueryResult> r = cold.Query(text);
+    ASSERT_TRUE(r.ok()) << text << ": " << r.status().message();
+    expected_table.push_back(r->relation.ToTable());
+    expected_fp.push_back(r->plan_fingerprint);
+    expected_cost.push_back(r->best_cost);
+  }
+
+  Engine shared(WorkloadCatalog());
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < kPerThread; ++k) {
+        const size_t i = static_cast<size_t>(t * kPerThread + k);
+        Result<PreparedQuery> prepared = shared.Prepare(texts[i]);
+        if (!prepared.ok() || prepared->from_cache()) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        Result<QueryResult> r = prepared.value().Execute();
+        if (!r.ok() || r->relation.ToTable() != expected_table[i] ||
+            r->plan_fingerprint != expected_fp[i] ||
+            r->best_cost != expected_cost[i]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(shared.stats().prepares, texts.size());
+}
+
 TEST(ApiEngineTest, ConcurrentSessionsAreByteIdentical) {
   // M threads × K queries × R rounds against ONE shared Engine (shared plan
-  // cache, interner, derivation cache, parallel-capable enumeration): every
-  // result must be byte-identical to a fresh single-threaded engine's.
+  // cache, parallel-capable enumeration): every result must be
+  // byte-identical to a fresh single-threaded engine's.
   const std::vector<std::string> queries = WorkloadQueries();
 
   // Expected outcomes from isolated single-threaded engines.

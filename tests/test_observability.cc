@@ -506,9 +506,6 @@ TEST(JsonSurfacesTest, EngineStatsKeySet) {
       "invalidations",
       "peak_concurrent_queries",
       "plan_cache_entries",
-      "interner_nodes",
-      "interner_hits",
-      "derivation_nodes",
       "backend",
       "backend_pushdowns",
       "backend_rows",
